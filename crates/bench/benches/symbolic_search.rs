@@ -2,7 +2,7 @@
 //! orders (the SP ablation at micro scale).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use verifas_core::{CoverageKind, KarpMillerSearch, ProductSystem, SearchLimits};
+use verifas_core::{CandidateSource, CoverageKind, KarpMillerSearch, ProductSystem, SearchLimits};
 use verifas_workloads::{generate_properties, order_fulfillment};
 
 fn bench_search(c: &mut Criterion) {
@@ -15,15 +15,23 @@ fn bench_search(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("karp_miller_search");
     group.sample_size(10);
-    for (name, coverage, index) in [
-        ("subsumption+index", CoverageKind::Subsumption, true),
-        ("subsumption", CoverageKind::Subsumption, false),
-        ("standard", CoverageKind::Standard, false),
-        ("equality", CoverageKind::Equality, false),
+    for (name, coverage, source) in [
+        (
+            "subsumption+index",
+            CoverageKind::Subsumption,
+            CandidateSource::Postings,
+        ),
+        (
+            "subsumption",
+            CoverageKind::Subsumption,
+            CandidateSource::Group,
+        ),
+        ("standard", CoverageKind::Standard, CandidateSource::Group),
+        ("equality", CoverageKind::Equality, CandidateSource::Group),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut search = KarpMillerSearch::new(&product, coverage, index, limits);
+                let mut search = KarpMillerSearch::new(&product, coverage, source, limits);
                 search.run()
             })
         });

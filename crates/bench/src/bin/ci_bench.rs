@@ -64,10 +64,10 @@
 use std::time::Instant;
 use verifas_core::static_analysis::ConstraintGraph;
 use verifas_core::{
-    find_infinite_violation_reference, find_infinite_violation_with, BatchOptions, CoverageKind,
-    Engine as VerifasEngine, Json, KarpMillerSearch, ProductSystem, RepeatedOutcome, ReuseMode,
-    SchedulePolicy, SearchControl, SearchLimits, VerificationOutcome, VerificationReport,
-    VerifierOptions,
+    find_infinite_violation_reference, find_infinite_violation_with, BatchOptions, CandidateSource,
+    CoverageKind, Engine as VerifasEngine, Json, KarpMillerSearch, ProductSystem, RepeatedOutcome,
+    ReuseMode, SchedulePolicy, SearchControl, SearchLimits, VerificationOutcome,
+    VerificationReport, VerifierOptions,
 };
 use verifas_ltl::LtlFoProperty;
 use verifas_model::HasSpec;
@@ -731,7 +731,7 @@ struct LayoutRow {
 #[allow(clippy::type_complexity)]
 fn time_layout_arm(
     product: &ProductSystem,
-    reference_layout: bool,
+    source: CandidateSource,
     max_states: usize,
     samples: usize,
 ) -> (usize, f64, usize, (usize, usize, Vec<usize>)) {
@@ -743,8 +743,7 @@ fn time_layout_arm(
     };
     let mut best: Option<(usize, f64, usize, (usize, usize, Vec<usize>))> = None;
     for sample in 0..=samples {
-        let mut search = KarpMillerSearch::new(product, CoverageKind::Subsumption, false, limits);
-        search.reference_layout = reference_layout;
+        let mut search = KarpMillerSearch::new(product, CoverageKind::Subsumption, source, limits);
         search.threads = 1;
         let start = Instant::now();
         search.run();
@@ -781,13 +780,13 @@ fn measure_layout(args: &Args, failures: &mut Vec<String>) -> LayoutRow {
     let new_cap = if args.quick { 30_000 } else { 120_000 };
     let reference_cap = if args.quick { 4_000 } else { 8_000 };
     let (new_states, new_millis, peak_bytes_estimate, _) =
-        time_layout_arm(&product, false, new_cap, samples);
+        time_layout_arm(&product, CandidateSource::Group, new_cap, samples);
     let (reference_states, reference_millis, _, reference_id) =
-        time_layout_arm(&product, true, reference_cap, samples);
+        time_layout_arm(&product, CandidateSource::FullScan, reference_cap, samples);
     // Cross-check: at the *same* budget the two layouts must materialise
     // bit-identical trees (the grouped scan visits exactly the states the
     // full scan does, in the same order).
-    let (_, _, _, new_id) = time_layout_arm(&product, false, reference_cap, 1);
+    let (_, _, _, new_id) = time_layout_arm(&product, CandidateSource::Group, reference_cap, 1);
     if new_id != reference_id {
         failures.push(format!(
             "{name}: arena and reference layouts diverged at {reference_cap} states \

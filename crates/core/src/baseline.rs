@@ -18,6 +18,7 @@
 //! Spin's absolute running times (see `DESIGN.md`, substitution table).
 
 use crate::coverage::CoverageKind;
+use crate::index::CandidateSource;
 use crate::product::ProductSystem;
 use crate::repeated::find_infinite_violation;
 use crate::search::{KarpMillerSearch, SearchLimits, SearchOutcome};
@@ -46,8 +47,12 @@ impl BaselineVerifier {
 
     /// Run the baseline verification.
     pub fn verify(&self) -> VerificationResult {
-        let mut search =
-            KarpMillerSearch::new(&self.product, CoverageKind::Equality, false, self.limits);
+        let mut search = KarpMillerSearch::new(
+            &self.product,
+            CoverageKind::Equality,
+            CandidateSource::Group,
+            self.limits,
+        );
         let outcome = search.run();
         let stats = search.stats;
         let failure = std::mem::take(&mut search.failure);

@@ -1,11 +1,10 @@
 //! The typed top-level error of the VERIFAS public API.
 //!
-//! Every fallible operation of [`crate::engine::Engine`] (and the
-//! deprecated `Verifier` front-end behind it) reports a [`VerifasError`]
-//! instead of passing raw [`ModelError`]s through or panicking: callers of
-//! a long-lived verification service need to distinguish "your
-//! specification is malformed" from "your request is malformed" without
-//! string-matching.
+//! Every fallible operation of [`crate::engine::Engine`] reports a
+//! [`VerifasError`] instead of passing raw [`ModelError`]s through or
+//! panicking: callers of a long-lived verification service need to
+//! distinguish "your specification is malformed" from "your request is
+//! malformed" without string-matching.
 
 use crate::json::JsonError;
 use std::fmt;

@@ -12,7 +12,8 @@
 //!   property,
 //! * [`coverage`] — the `≤`, `≼` and `≼⁺` comparison relations (the latter
 //!   two via a max-flow reduction),
-//! * [`index`] — Trie / inverted-list indices for candidate filtering,
+//! * [`index`] — the coverage-candidate index (signature posting lists,
+//!   discrete groups or full scans) behind every pruning test,
 //! * [`arena`] — arena-backed structure-of-arrays storage for the search
 //!   tree (deduplicated types, counters and dense node columns),
 //! * [`static_analysis`] — the non-violating-edge analysis of Section 3.7,
@@ -24,7 +25,7 @@
 //!   partitioning between batch width and per-search depth,
 //! * [`memory`] — byte-accounted memory budgets: searches lease from a
 //!   shared pool and degrade to a typed error instead of an OOM abort,
-//! * [`verifier`] — the user-facing API tying everything together,
+//! * [`verifier`] — the verification pipeline and its options,
 //! * [`delta`] — structural spec diffing and the transition memo behind
 //!   incremental re-verification ([`engine::Engine::load_delta`]),
 //! * [`baseline`] — the unoptimised baseline standing in for the Spin-based
@@ -67,6 +68,7 @@ pub use engine::{
 };
 pub use error::{SourceSpan, VerifasError, VALID_OPTIMIZATIONS};
 pub use expr::{ExprHead, ExprId, ExprSort, ExprUniverse};
+pub use index::CandidateSource;
 pub use json::{Json, JsonError};
 pub use memory::{MemoryBudget, MemoryLease};
 pub use observer::{CancelToken, Phase, ProgressEvent, ProgressObserver, SearchControl};
@@ -87,8 +89,6 @@ pub use schedule::{
 };
 pub use search::{KarpMillerSearch, SearchLimits, SearchOutcome, SearchStats, WorkerStats};
 pub use transition::{spec_constants, SymbolicTask};
-#[allow(deprecated)]
-pub use verifier::Verifier;
 pub use verifier::{
     run_verification, Counterexample, VerificationOutcome, VerificationResult, VerifierOptions,
 };

@@ -35,15 +35,16 @@
 //!    expanded (absent from the log by construction) are enumerated live,
 //!    against a cheap [`WorkerInterner`] scratch overlay — an exhausted
 //!    search, the common case, expands every node.
-//! 2. **Indexed, adaptive coverage candidates.**  With `use_index` set, a
-//!    compact [`StateIndex`] is built over the final (post-prune) active
-//!    set and each successor's covering candidates come from a
-//!    subset-signature query — as long as the query's posting lists are
-//!    shorter than the successor's discrete group, which is always the
-//!    fallback candidate set (only states with equal discrete components
-//!    are ever comparable).  Both filters are sound over-approximations of
-//!    the exact `covers` test, so the resulting edge list is identical
-//!    with the index on or off.
+//! 2. **Indexed, adaptive coverage candidates.**  A [`CoverageIndex`]
+//!    over the final (post-prune) active set, keyed by position, supplies
+//!    each successor's covering candidates from the auxiliary search's
+//!    [`CandidateSource`]: the successor's discrete group (only states
+//!    with equal discrete components are ever comparable), or — with
+//!    `use_index` set — a subset-signature posting query, bounded by the
+//!    group's size so the query falls back to the group scan whenever
+//!    walking its posting lists would cost more.  Every source is a sound
+//!    over-approximation of the exact `covers` test, so the resulting edge
+//!    list is identical with the index on or off.
 //! 3. **Parallel edge construction.**  With `threads > 1`, workers claim
 //!    chunks of the active set from a shared cursor and compute candidate
 //!    edges against the frozen search.  Results are keyed by active-set
@@ -62,12 +63,12 @@
 //! emits [`ProgressEvent::CycleProgress`] events, so a long post-pass is
 //! both observable and cancellable; a run stopped mid-construction skips
 //! the (then unsound) cycle check and reports itself as limit-reached and
-//! cancelled.  The pre-index O(active²) implementation is kept as
+//! cancelled.  The pre-optimisation O(active²) pass is kept as
 //! [`find_infinite_violation_reference`] for differential tests and the
 //! `ci_bench` speedup measurement.
 
-use crate::coverage::{covers, discrete_key, CoverageKind};
-use crate::index::StateIndex;
+use crate::coverage::{covers, CoverageKind};
+use crate::index::{CandidateSource, CoverageIndex};
 use crate::observer::{Phase, ProgressEvent, SearchControl};
 use crate::product::{ProductSuccessor, ProductSystem, StateView};
 use crate::psi::{TypeTable, WorkerInterner, OMEGA};
@@ -75,7 +76,6 @@ use crate::search::{
     merge_worker_stats, KarpMillerSearch, LoggedSuccessor, SearchLimits, SearchOutcome,
     SearchStats, WorkerStats,
 };
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -211,7 +211,10 @@ pub fn find_infinite_violation_with(
     control: &mut SearchControl<'_>,
 ) -> RepeatedOutcome {
     control.phase = Some(Phase::RepeatedReachability);
-    let mut search = KarpMillerSearch::new(product, coverage, use_index, limits);
+    // Neither the auxiliary search nor the post-pass (which reuses the
+    // search's candidate source) runs the reference layout.
+    let source = CandidateSource::resolve(use_index, false);
+    let mut search = KarpMillerSearch::new(product, coverage, source, limits);
     search.threads = threads;
     // The cycle-detection pass consumes the successors the search already
     // enumerated (successor enumeration — symbolic condition evaluation
@@ -272,7 +275,6 @@ pub fn find_infinite_violation_with(
         &search,
         product,
         coverage,
-        use_index,
         &active,
         &successors,
         workers,
@@ -351,64 +353,6 @@ pub fn find_infinite_violation_with(
 /// coverage.
 type AbstractEdge = (usize, ServiceRef);
 
-/// How candidate covering states are found for a successor: the discrete
-/// groups of the active set, optionally sharpened by a compact signature
-/// index over it.
-struct Candidates {
-    /// Active positions per discrete key, in ascending order — the coarse
-    /// candidate set (only same-key states are ever comparable), and the
-    /// fallback when an index query would cost more than scanning it.
-    groups: HashMap<(usize, u64, bool), Vec<u32>>,
-    /// Subset-signature index over the final active set (positions as
-    /// ids), when `use_index` is on.
-    index: Option<StateIndex>,
-}
-
-impl Candidates {
-    fn build(use_index: bool, active: &[usize], search: &KarpMillerSearch<'_>) -> Self {
-        let mut groups: HashMap<(usize, u64, bool), Vec<u32>> = HashMap::new();
-        for (ai, &i) in active.iter().enumerate() {
-            groups
-                .entry(discrete_key(search.state_view(i)))
-                .or_default()
-                .push(ai as u32);
-        }
-        Candidates {
-            groups,
-            index: use_index.then(|| {
-                StateIndex::over_states(
-                    active
-                        .iter()
-                        .enumerate()
-                        .map(|(ai, &i)| (ai as u32, search.state_view(i))),
-                    &search.interner,
-                )
-            }),
-        }
-    }
-
-    /// Candidate target positions for one successor state, ascending.
-    ///
-    /// With the index on, the subset-signature query runs only while it is
-    /// cheaper than scanning the state's discrete group (its cost is the
-    /// total posting length of the signature's edges); otherwise the group
-    /// scan is the candidate set — the same over-approximation, just
-    /// coarser.
-    fn for_successor<'c>(
-        &'c self,
-        state: StateView<'_>,
-        interner: &dyn TypeTable,
-    ) -> Cow<'c, [u32]> {
-        let group = self.groups.get(&discrete_key(state));
-        if let (Some(index), Some(group)) = (&self.index, group) {
-            if let Some(hits) = index.subset_candidates_bounded(state, interner, group.len()) {
-                return Cow::Owned(hits);
-            }
-        }
-        group.map_or(Cow::Borrowed(&[]), |g| Cow::Borrowed(g.as_slice()))
-    }
-}
-
 /// Build the abstract transition graph over the active states: one edge
 /// `ai → aj` whenever some successor of `active[ai]` is covered by
 /// `active[aj]`, annotated with the service of the first such successor.
@@ -433,7 +377,6 @@ fn build_abstract_edges(
     search: &KarpMillerSearch<'_>,
     product: &ProductSystem,
     coverage: CoverageKind,
-    use_index: bool,
     active: &[usize],
     successors: &[LoggedSuccessor],
     workers: usize,
@@ -446,14 +389,20 @@ fn build_abstract_edges(
 ) {
     let start = Instant::now();
     let n = active.len();
+    let candidates = CoverageIndex::over_states(
+        search.candidate_source(),
+        active
+            .iter()
+            .enumerate()
+            .map(|(ai, &i)| (ai as u32, search.state_view(i))),
+    );
     let mut cycle = CycleStats {
         states: n,
         threads: workers,
-        used_index: use_index,
+        used_index: candidates.source() == CandidateSource::Postings,
         completed: true,
         ..CycleStats::default()
     };
-    let candidates = Candidates::build(use_index, active, search);
     // The logged successors of each active source, as a range into the
     // (parent-sorted) log.
     let ranges: Vec<&[LoggedSuccessor]> = active
@@ -666,7 +615,7 @@ fn source_edges(
     search: &KarpMillerSearch<'_>,
     product: &ProductSystem,
     coverage: CoverageKind,
-    candidates: &Candidates,
+    candidates: &CoverageIndex,
     active: &[usize],
     position: usize,
     successors: &[LoggedSuccessor],
@@ -726,7 +675,7 @@ fn source_edges(
 fn edges_for_successor(
     search: &KarpMillerSearch<'_>,
     coverage: CoverageKind,
-    candidates: &Candidates,
+    candidates: &CoverageIndex,
     active: &[usize],
     service: ServiceRef,
     succ: StateView<'_>,
@@ -734,7 +683,10 @@ fn edges_for_successor(
     out: &mut Vec<AbstractEdge>,
     counts: &mut CycleStats,
 ) {
-    for &aj in candidates.for_successor(succ, table).iter() {
+    // A posting query runs only while it is cheaper than scanning the
+    // successor's group.
+    let budget = candidates.group_len(succ);
+    for &aj in candidates.covering(succ, 0, budget).iter() {
         let aj = aj as usize;
         if out.iter().any(|&(t, _)| t == aj) {
             // Already witnessed by an earlier successor; the edge and its
@@ -850,21 +802,27 @@ fn cycle_services(start: usize, graph: &[Vec<AbstractEdge>], scc: &SccResult) ->
     Vec::new()
 }
 
-/// The pre-optimisation sequential implementation of the analysis —
-/// O(active²) `covers` tests for edge construction plus one DFS walk per
-/// accepting state, over a search running the pre-overhaul
-/// [`KarpMillerSearch::reference_layout`] linear candidate scans — kept as
-/// a differential-testing oracle and as the baseline of the `ci_bench`
-/// repeated-reachability and `state_layout` speedup measurements.  New
-/// callers should use [`find_infinite_violation`].
+/// The pre-optimisation sequential implementation of the analysis, kept
+/// as a differential-testing oracle and as the baseline of the `ci_bench`
+/// repeated-reachability speedup measurement.  New callers should use
+/// [`find_infinite_violation`].
+///
+/// Its auxiliary search is an ordinary sequential one that records no
+/// successor log: with `use_index` set it filters candidates through the
+/// signature postings like [`find_infinite_violation`] does, without it
+/// through the full linear scans ([`CandidateSource::FullScan`]).  What
+/// makes it the reference is the pass after the search: every active
+/// state's successors are re-enumerated, the edges come from O(active²)
+/// unfiltered `covers` tests, and one DFS walk per accepting state looks
+/// for a cycle.
 pub fn find_infinite_violation_reference(
     product: &ProductSystem,
     coverage: CoverageKind,
     use_index: bool,
     limits: SearchLimits,
 ) -> RepeatedOutcome {
-    let mut search = KarpMillerSearch::new(product, coverage, use_index, limits);
-    search.reference_layout = true;
+    let source = CandidateSource::resolve(use_index, true);
+    let mut search = KarpMillerSearch::new(product, coverage, source, limits);
     let outcome = search.run();
     let stats = search.stats;
     let worker_stats = std::mem::take(&mut search.worker_stats);

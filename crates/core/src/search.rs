@@ -15,21 +15,15 @@
 //! The tree lives in an arena-backed structure-of-arrays layout
 //! ([`crate::arena::StateArena`]): nodes are dense `u32`-indexed rows over
 //! deduplicating type and counter arenas, compared through borrowed
-//! [`StateView`]s.  Coverage and prune candidates are discovered three
-//! ways, all bit-identical:
-//!
-//! * with the inverted-list index ([`KarpMillerSearch::use_index`]),
-//!   through signature subset/superset posting queries;
-//! * without the index, through per-discrete-group candidate vectors
-//!   (active arena ids in ascending order, one vector per `(automaton
-//!   state, child mask, closed)` key) — since every coverage relation
-//!   requires equal discrete keys, scanning the group in id order visits
-//!   exactly the states a full linear scan would have accepted, in the
-//!   same order;
-//! * with [`KarpMillerSearch::reference_layout`] set, through the
-//!   pre-overhaul full linear scans over the node table — kept as a
-//!   differential oracle and as the denominator of the `state_layout`
-//!   benchmark.
+//! [`StateView`]s.  Coverage and prune candidates come from one
+//! [`CoverageIndex`] over the tree's arena ids, whose [`CandidateSource`]
+//! is chosen once, at construction: signature posting lists (the DSS
+//! optimisation), the state's discrete group, or the pre-overhaul full
+//! linear scan (the differential oracle and the denominator of the
+//! `state_layout` benchmark).  Every source yields a sound superset of the
+//! exact coverers in ascending id order, so the search finds the same
+//! first covering state and the same prune set under each: the tree, the
+//! statistics and the verdict are bit-identical, only the work differs.
 //!
 //! # Parallel execution
 //!
@@ -69,7 +63,7 @@
 
 use crate::arena::StateArena;
 use crate::coverage::{accelerate, covers, CoverageKind};
-use crate::index::StateIndex;
+use crate::index::{CandidateSource, CoverageIndex};
 use crate::observer::{ProgressEvent, SearchControl};
 use crate::pit::Pit;
 use crate::product::{ProductState, ProductSystem, StateView};
@@ -241,16 +235,6 @@ pub struct KarpMillerSearch<'a> {
     product: &'a ProductSystem,
     /// The coverage order used for pruning.
     pub coverage: CoverageKind,
-    /// Whether the inverted-list index filters coverage candidates
-    /// (the "data structure support" optimisation).
-    pub use_index: bool,
-    /// When set, coverage/prune candidates are discovered through the
-    /// pre-overhaul full linear scans over the node table instead of the
-    /// per-discrete-group vectors (only meaningful without the index).
-    /// Kept as a differential oracle for the grouped layout and as the
-    /// denominator of the `state_layout` benchmark; results are
-    /// bit-identical, only slower.
-    pub reference_layout: bool,
     /// Resource limits.
     pub limits: SearchLimits,
     /// Number of worker threads expanding the frontier (0 = one per
@@ -283,28 +267,23 @@ pub struct KarpMillerSearch<'a> {
     /// message as a typed [`crate::error::VerifasError::Internal`]
     /// instead of aborting the process.  Sticky for the run.
     pub failure: Option<String>,
-    index: StateIndex,
-    /// Active arena ids per discrete key, ascending — the coverage/prune
-    /// candidate map used when the index is off (every coverage relation
-    /// requires equal discrete keys, so the group holds every candidate a
-    /// full scan could accept, in the same id order).
-    groups: HashMap<(usize, u64, bool), Vec<u32>>,
+    /// Coverage and prune candidates among the active nodes.
+    index: CoverageIndex,
 }
 
 impl<'a> KarpMillerSearch<'a> {
-    /// Create a (sequential) search over a product system; set
+    /// Create a (sequential) search over a product system that finds
+    /// coverage candidates through `source`; set
     /// [`KarpMillerSearch::threads`] to parallelise it.
     pub fn new(
         product: &'a ProductSystem,
         coverage: CoverageKind,
-        use_index: bool,
+        source: CandidateSource,
         limits: SearchLimits,
     ) -> Self {
         KarpMillerSearch {
             product,
             coverage,
-            use_index,
-            reference_layout: false,
             limits,
             threads: 1,
             arena: StateArena::new(),
@@ -315,9 +294,13 @@ impl<'a> KarpMillerSearch<'a> {
             successor_log: Vec::new(),
             log_compact_at: 1024,
             failure: None,
-            index: StateIndex::new(),
-            groups: HashMap::new(),
+            index: CoverageIndex::new(source),
         }
+    }
+
+    /// How this search finds coverage candidates.
+    pub fn candidate_source(&self) -> CandidateSource {
+        self.index.source()
     }
 
     /// Deterministic estimate of this search's resident bytes, re-based on
@@ -691,8 +674,8 @@ impl<'a> KarpMillerSearch<'a> {
                 (None, Vec::new())
             } else {
                 (
-                    self.snapshot_covered_by(&state, &*interner),
-                    self.snapshot_prunes(&state, &*interner),
+                    self.covering_node(state.view(), &*interner, 0),
+                    self.covered_nodes(state.view(), &*interner, 0, &HashSet::new()),
                 )
             };
             succs.push(SuccessorPlan {
@@ -716,66 +699,39 @@ impl<'a> KarpMillerSearch<'a> {
         }
     }
 
-    /// The group candidate vector of a state, if one exists (empty when
-    /// the discrete key has never been seen).
-    fn group_of(&self, state: StateView<'_>) -> &[u32] {
-        self.groups
-            .get(&crate::coverage::discrete_key(state))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// First snapshot-active node covering the candidate state, if any.
-    fn snapshot_covered_by(&self, state: &ProductState, interner: &dyn TypeTable) -> Option<u32> {
-        let view = state.view();
-        if self.use_index {
-            self.index
-                .subset_candidates(view, interner)
-                .into_iter()
-                .find(|&j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, view, self.arena.view(j), interner)
-                })
-        } else if self.reference_layout {
-            (0..self.arena.len() as u32).find(|&j| {
-                self.arena.is_active(j) && covers(self.coverage, view, self.arena.view(j), interner)
+    /// First active node with id ≥ `from` that covers `state`.  During
+    /// the plan phase "active" means active in the frozen snapshot.
+    fn covering_node(&self, state: StateView<'_>, table: &dyn TypeTable, from: u32) -> Option<u32> {
+        // A full scan also yields pruned nodes; the other sources only
+        // live ones, for which the activity test is a cheap no-op.
+        self.index
+            .covering(state, from, usize::MAX)
+            .iter()
+            .copied()
+            .find(|&j| {
+                self.arena.is_active(j) && covers(self.coverage, state, self.arena.view(j), table)
             })
-        } else {
-            // Group members are exactly the active states sharing the
-            // discrete key, ascending — the only ones `covers` can accept,
-            // in the order the full scan would have visited them.
-            self.group_of(view)
-                .iter()
-                .copied()
-                .find(|&j| covers(self.coverage, view, self.arena.view(j), interner))
-        }
     }
 
-    /// All snapshot-active nodes covered by the candidate state.
-    fn snapshot_prunes(&self, state: &ProductState, interner: &dyn TypeTable) -> Vec<u32> {
-        let view = state.view();
-        if self.use_index {
-            self.index
-                .superset_candidates(view, interner)
-                .into_iter()
-                .filter(|&j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, self.arena.view(j), view, interner)
-                })
-                .collect()
-        } else if self.reference_layout {
-            (0..self.arena.len() as u32)
-                .filter(|&j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, self.arena.view(j), view, interner)
-                })
-                .collect()
-        } else {
-            self.group_of(view)
-                .iter()
-                .copied()
-                .filter(|&j| covers(self.coverage, self.arena.view(j), view, interner))
-                .collect()
-        }
+    /// Active nodes with id ≥ `from`, outside `protected`, that `state`
+    /// covers, ascending.
+    fn covered_nodes(
+        &self,
+        state: StateView<'_>,
+        table: &dyn TypeTable,
+        from: u32,
+        protected: &HashSet<u32>,
+    ) -> Vec<u32> {
+        self.index
+            .covered_by(state, from)
+            .iter()
+            .copied()
+            .filter(|&j| {
+                self.arena.is_active(j)
+                    && !protected.contains(&j)
+                    && covers(self.coverage, self.arena.view(j), state, table)
+            })
+            .collect()
     }
 
     /// Replay one node's plan against the live tree.  Returns the id of a
@@ -867,14 +823,12 @@ impl<'a> KarpMillerSearch<'a> {
             // Skip if an active state already covers the new one.  The
             // speculative answer is reused when it still holds; states
             // added earlier in this round are always re-checked live.
-            let covered = if !speculation_valid {
-                self.covered_by_active(&state)
-            } else {
-                match succ.covered_by {
-                    Some(j) if !deactivated_this_round.contains(&j) => true,
-                    Some(_) => self.covered_by_active(&state),
-                    None => self.covered_by_added(&state, round_base),
-                }
+            let view = state.view();
+            let table = &self.interner;
+            let covered = match succ.covered_by {
+                Some(j) if speculation_valid && !deactivated_this_round.contains(&j) => true,
+                None if speculation_valid => self.covering_node(view, table, round_base).is_some(),
+                _ => self.covering_node(view, table, 0).is_some(),
             };
             if covered {
                 self.stats.states_skipped += 1;
@@ -884,19 +838,17 @@ impl<'a> KarpMillerSearch<'a> {
             // descendants) covered by the new one, except ancestors of
             // the node being extended (conservative variant of the
             // Reynier–Servais rule).
-            let mut to_prune: Vec<u32> = if speculation_valid {
+            let to_prune: Vec<u32> = if speculation_valid {
+                // States added this round were invisible to the plan.
                 succ.prunes
                     .iter()
                     .copied()
                     .filter(|j| self.arena.is_active(*j) && !ancestors.contains(j))
+                    .chain(self.covered_nodes(view, table, round_base, &ancestors))
                     .collect()
             } else {
-                self.live_prunes(&state, &ancestors, 0)
+                self.covered_nodes(view, table, 0, &ancestors)
             };
-            if speculation_valid {
-                // States added this round were invisible to the plan.
-                to_prune.extend(self.live_prunes(&state, &ancestors, round_base));
-            }
             for j in to_prune {
                 self.deactivate_subtree(j, &ancestors, deactivated_this_round);
             }
@@ -908,98 +860,9 @@ impl<'a> KarpMillerSearch<'a> {
 
     fn add_node(&mut self, state: &ProductState, parent: Option<u32>, service: ServiceRef) -> u32 {
         let id = self.arena.push(state, parent, service);
-        if self.use_index {
-            self.index.insert(id, self.arena.view(id), &self.interner);
-        } else if !self.reference_layout {
-            self.groups
-                .entry(self.arena.discrete_key(id))
-                .or_default()
-                .push(id);
-        }
+        self.index.insert(id, self.arena.view(id));
         self.stats.states_created += 1;
         id
-    }
-
-    /// Is the candidate state covered by some active state of the live
-    /// tree?
-    fn covered_by_active(&self, state: &ProductState) -> bool {
-        let view = state.view();
-        if self.use_index {
-            // Candidates whose signature is a subset of the query's — the
-            // only ones that can be less restrictive (and hence cover it).
-            self.index
-                .subset_candidates(view, &self.interner)
-                .into_iter()
-                .any(|j| {
-                    self.arena.is_active(j)
-                        && covers(self.coverage, view, self.arena.view(j), &self.interner)
-                })
-        } else if self.reference_layout {
-            (0..self.arena.len() as u32).any(|j| {
-                self.arena.is_active(j)
-                    && covers(self.coverage, view, self.arena.view(j), &self.interner)
-            })
-        } else {
-            self.group_of(view)
-                .iter()
-                .any(|&j| covers(self.coverage, view, self.arena.view(j), &self.interner))
-        }
-    }
-
-    /// Is the candidate covered by an active state created at or after
-    /// `round_base` (i.e. in the current round)?
-    fn covered_by_added(&self, state: &ProductState, round_base: u32) -> bool {
-        let view = state.view();
-        if self.use_index {
-            self.index
-                .subset_candidates(view, &self.interner)
-                .into_iter()
-                .any(|j| {
-                    j >= round_base
-                        && self.arena.is_active(j)
-                        && covers(self.coverage, view, self.arena.view(j), &self.interner)
-                })
-        } else if self.reference_layout {
-            (round_base..self.arena.len() as u32).any(|j| {
-                self.arena.is_active(j)
-                    && covers(self.coverage, view, self.arena.view(j), &self.interner)
-            })
-        } else {
-            let group = self.group_of(view);
-            let from = group.partition_point(|&j| j < round_base);
-            group[from..]
-                .iter()
-                .any(|&j| covers(self.coverage, view, self.arena.view(j), &self.interner))
-        }
-    }
-
-    /// Active, non-ancestor nodes with id ≥ `from` covered by `state` on
-    /// the live tree.
-    fn live_prunes(&self, state: &ProductState, ancestors: &HashSet<u32>, from: u32) -> Vec<u32> {
-        let view = state.view();
-        let accepts = |j: u32| {
-            !ancestors.contains(&j)
-                && covers(self.coverage, self.arena.view(j), view, &self.interner)
-        };
-        if self.use_index {
-            self.index
-                .superset_candidates(view, &self.interner)
-                .into_iter()
-                .filter(|&j| j >= from && self.arena.is_active(j) && accepts(j))
-                .collect()
-        } else if self.reference_layout {
-            (from..self.arena.len() as u32)
-                .filter(|&j| self.arena.is_active(j) && accepts(j))
-                .collect()
-        } else {
-            let group = self.group_of(view);
-            let start = group.partition_point(|&j| j < from);
-            group[start..]
-                .iter()
-                .copied()
-                .filter(|&j| accepts(j))
-                .collect()
-        }
     }
 
     fn deactivate_subtree(
@@ -1016,17 +879,7 @@ impl<'a> KarpMillerSearch<'a> {
             self.arena.set_active(j, false);
             deactivated.insert(j);
             self.stats.states_pruned += 1;
-            if self.use_index {
-                self.index.remove(j, self.arena.view(j));
-            } else if !self.reference_layout {
-                // Ordered removal keeps the group vector ascending.
-                let key = self.arena.discrete_key(j);
-                if let Some(group) = self.groups.get_mut(&key) {
-                    if let Ok(pos) = group.binary_search(&j) {
-                        group.remove(pos);
-                    }
-                }
-            }
+            self.index.remove(j, self.arena.view(j));
             stack.extend(self.arena.children(j));
         }
     }
@@ -1106,7 +959,7 @@ mod tests {
         let mut search = KarpMillerSearch::new(
             &product,
             CoverageKind::Subsumption,
-            true,
+            CandidateSource::Postings,
             SearchLimits {
                 max_states: 5_000,
                 max_millis: 30_000,
@@ -1126,7 +979,7 @@ mod tests {
         let mut search = KarpMillerSearch::new(
             &product,
             CoverageKind::Standard,
-            false,
+            CandidateSource::Group,
             SearchLimits::default(),
         );
         assert_eq!(search.run(), SearchOutcome::Exhausted);
@@ -1140,7 +993,7 @@ mod tests {
         let mut search = KarpMillerSearch::new(
             &product,
             CoverageKind::Subsumption,
-            false,
+            CandidateSource::Group,
             SearchLimits::default(),
         );
         search.run();
@@ -1160,7 +1013,7 @@ mod tests {
             // Equality pruning cannot cope with unbounded counters, so the
             // node limit must trigger.
             CoverageKind::Equality,
-            false,
+            CandidateSource::Group,
             SearchLimits {
                 max_states: 50,
                 max_millis: 10_000,
@@ -1178,18 +1031,18 @@ mod tests {
         let spec = unbounded_pool();
         let property = trivial_property();
         let product = ProductSystem::new(&spec, &property, true).unwrap();
-        for (coverage, use_index) in [
-            (CoverageKind::Subsumption, true),
-            (CoverageKind::Subsumption, false),
-            (CoverageKind::Standard, false),
+        for (coverage, source) in [
+            (CoverageKind::Subsumption, CandidateSource::Postings),
+            (CoverageKind::Subsumption, CandidateSource::Group),
+            (CoverageKind::Standard, CandidateSource::Group),
         ] {
             let limits = SearchLimits {
                 max_states: 5_000,
                 max_millis: 60_000,
             };
-            let mut sequential = KarpMillerSearch::new(&product, coverage, use_index, limits);
+            let mut sequential = KarpMillerSearch::new(&product, coverage, source, limits);
             let seq_outcome = sequential.run();
-            let mut parallel = KarpMillerSearch::new(&product, coverage, use_index, limits);
+            let mut parallel = KarpMillerSearch::new(&product, coverage, source, limits);
             parallel.threads = 4;
             let par_outcome = parallel.run();
             assert_eq!(seq_outcome, par_outcome);
@@ -1209,9 +1062,9 @@ mod tests {
         }
     }
 
-    /// The grouped candidate map must be a bit-identical replacement for
-    /// the pre-overhaul full linear scans (the `reference_layout` oracle):
-    /// same tree, same active set, same statistics.
+    /// Group candidates must be a bit-identical replacement for the
+    /// pre-overhaul full linear scans (the `FullScan` oracle): same tree,
+    /// same active set, same statistics.
     #[test]
     fn grouped_layout_matches_reference_scans_exactly() {
         let spec = unbounded_pool();
@@ -1226,10 +1079,11 @@ mod tests {
                 max_states: 300,
                 max_millis: 60_000,
             };
-            let mut grouped = KarpMillerSearch::new(&product, coverage, false, limits);
+            let mut grouped =
+                KarpMillerSearch::new(&product, coverage, CandidateSource::Group, limits);
             let grouped_outcome = grouped.run();
-            let mut reference = KarpMillerSearch::new(&product, coverage, false, limits);
-            reference.reference_layout = true;
+            let mut reference =
+                KarpMillerSearch::new(&product, coverage, CandidateSource::FullScan, limits);
             let reference_outcome = reference.run();
             assert_eq!(grouped_outcome, reference_outcome);
             assert_eq!(grouped.len(), reference.len());

@@ -1,8 +1,9 @@
-//! The user-facing verifier API.
+//! The verification pipeline behind `verifas::Engine`.
 //!
-//! [`Verifier`] ties together the product construction, the static
-//! analysis, the Karp–Miller search and the repeated-reachability
-//! analysis.  Every optimisation of Section 3 can be toggled through
+//! [`run_verification`] runs the Karp–Miller search and the
+//! repeated-reachability analysis over a product system the engine has
+//! prepared (product construction plus static analysis).  Every
+//! optimisation of Section 3 can be toggled through
 //! [`VerifierOptions`] so the ablation experiments of Table 3 can be
 //! reproduced:
 //!
@@ -10,7 +11,7 @@
 //!   classic ≤ order,
 //! * `static_analysis` (SA) — drop non-violating constraints,
 //! * `data_structure_support` (DSS) — filter coverage candidates through
-//!   the inverted-list index,
+//!   the inverted-list index ([`crate::index::CandidateSource::Postings`]),
 //! * `handle_artifact_relations` — `false` gives the `VERIFAS-NoSet`
 //!   configuration,
 //! * `check_repeated` — run the repeated-reachability module (needed for
@@ -18,13 +19,12 @@
 
 use crate::coverage::CoverageKind;
 use crate::error::VerifasError;
+use crate::index::CandidateSource;
 use crate::observer::SearchControl;
 use crate::product::ProductSystem;
 use crate::repeated::{find_infinite_violation_with, CycleStats};
 use crate::search::{KarpMillerSearch, SearchLimits, SearchOutcome, SearchStats, WorkerStats};
-use crate::static_analysis::ConstraintGraph;
-use verifas_ltl::LtlFoProperty;
-use verifas_model::{HasSpec, ModelError, ServiceRef};
+use verifas_model::ServiceRef;
 
 /// Options controlling the verifier (all optimisations enabled by
 /// default).
@@ -50,9 +50,12 @@ pub struct VerifierOptions {
     pub search_threads: usize,
     /// Resource limits of each search phase.
     pub limits: SearchLimits,
-    /// Run phase 1 on the retained pre-arena linear-scan state layout
-    /// instead of the arena-backed one (an oracle arm for differential
-    /// testing; verdicts, witnesses and stats must be bit-identical).
+    /// Run phase 1 on the retained pre-arena full linear candidate scans
+    /// ([`CandidateSource::FullScan`]) instead of the per-group ones (an
+    /// oracle arm for differential testing; verdicts, witnesses and stats
+    /// must be bit-identical).  Only takes effect with
+    /// `data_structure_support` off: the index wins
+    /// ([`CandidateSource::resolve`]).
     pub reference_layout: bool,
     /// Run phase 2 through [`crate::repeated::find_infinite_violation_reference`]
     /// (the retained O(active²) oracle) instead of the indexed
@@ -194,57 +197,9 @@ impl VerificationResult {
     }
 }
 
-/// The VERIFAS verifier for one (specification, property) pair.
-///
-/// Deprecated: this one-shot front-end rebuilds the spec-side
-/// preprocessing on every construction.  Use `verifas::Engine`, which
-/// loads a specification once, serves many properties, shares the
-/// preprocessing across them and returns serializable
-/// [`crate::report::VerificationReport`]s.
-#[deprecated(
-    since = "0.2.0",
-    note = "use verifas::Engine (Engine::load(spec).check(&property)); \
-            Verifier will be removed after one release"
-)]
-pub struct Verifier {
-    product: ProductSystem,
-    options: VerifierOptions,
-}
-
-#[allow(deprecated)]
-impl Verifier {
-    /// Build a verifier; the property is validated against the
-    /// specification.
-    pub fn new(
-        spec: &HasSpec,
-        property: &LtlFoProperty,
-        options: VerifierOptions,
-    ) -> Result<Self, ModelError> {
-        spec.validate()?;
-        let mut product = ProductSystem::new(spec, property, options.handle_artifact_relations)?;
-        if options.static_analysis {
-            let graph =
-                ConstraintGraph::build(spec, property.task, property, &product.task.universe);
-            let removed = graph.non_violating_edges(&product.task.universe);
-            product.set_static_removed(removed);
-        }
-        Ok(Verifier { product, options })
-    }
-
-    /// The product system (exposed for inspection and benchmarking).
-    pub fn product(&self) -> &ProductSystem {
-        &self.product
-    }
-
-    /// Run the verification.
-    pub fn verify(&self) -> VerificationResult {
-        run_verification(&self.product, self.options, &mut SearchControl::default())
-    }
-}
-
 /// Run the two verification phases over a prepared product system under a
-/// [`SearchControl`] (observer + cancellation).  This is the shared
-/// implementation behind [`Verifier::verify`] and `verifas::Engine`.
+/// [`SearchControl`] (observer + cancellation).  This is the
+/// implementation behind `verifas::Engine`.
 pub fn run_verification(
     product: &ProductSystem,
     options: VerifierOptions,
@@ -252,14 +207,9 @@ pub fn run_verification(
 ) -> VerificationResult {
     // Phase 1: reachability search (finds finite violations).
     control.phase = Some(crate::observer::Phase::Reachability);
-    let mut search = KarpMillerSearch::new(
-        product,
-        options.coverage(),
-        options.data_structure_support,
-        options.limits,
-    );
+    let source = CandidateSource::resolve(options.data_structure_support, options.reference_layout);
+    let mut search = KarpMillerSearch::new(product, options.coverage(), source, options.limits);
     search.threads = options.search_threads;
-    search.reference_layout = options.reference_layout;
     let outcome = search.run_with(control);
     let stats = search.stats;
     let worker_stats = std::mem::take(&mut search.worker_stats);
@@ -398,12 +348,14 @@ fn describe(product: &ProductSystem, services: &[ServiceRef]) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::static_analysis::ConstraintGraph;
     use verifas_ltl::{Ltl, LtlFoProperty, PropAtom};
     use verifas_model::schema::attr::data;
-    use verifas_model::{Condition, DatabaseSchema, SpecBuilder, TaskBuilder, TaskId, Term};
+    use verifas_model::{
+        Condition, DatabaseSchema, HasSpec, SpecBuilder, TaskBuilder, TaskId, Term,
+    };
 
     /// Root task with a child whose closing requires approval; the root
     /// then archives the result.
@@ -447,6 +399,24 @@ mod tests {
         Condition::eq(Term::var(verifas_model::VarId::new(0)), Term::str(v))
     }
 
+    /// Prepare the product the way the engine does (static analysis under
+    /// SA, artifact relations unless NoSet) and run both phases.
+    fn verify(
+        spec: &HasSpec,
+        property: &LtlFoProperty,
+        options: VerifierOptions,
+    ) -> VerificationResult {
+        spec.validate().unwrap();
+        let mut product =
+            ProductSystem::new(spec, property, options.handle_artifact_relations).unwrap();
+        if options.static_analysis {
+            let graph =
+                ConstraintGraph::build(spec, property.task, property, &product.task.universe);
+            product.set_static_removed(graph.non_violating_edges(&product.task.universe));
+        }
+        run_verification(&product, options, &mut SearchControl::default())
+    }
+
     #[test]
     fn satisfied_safety_property_on_root_task() {
         // G ¬(decision = "Garbage"): the review child can only return
@@ -464,8 +434,7 @@ mod tests {
             Ltl::globally(Ltl::not(Ltl::prop(0))),
             vec![PropAtom::Condition(decision_is("Garbage"))],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
+        let result = verify(&spec, &property, VerifierOptions::default());
         assert_eq!(result.outcome, VerificationOutcome::Violated);
         assert!(result.counterexample.is_some());
     }
@@ -482,8 +451,7 @@ mod tests {
             Ltl::globally(Ltl::not(Ltl::prop(0))),
             vec![PropAtom::Condition(decision_is("Deny"))],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
+        let result = verify(&spec, &property, VerifierOptions::default());
         assert_eq!(result.outcome, VerificationOutcome::Violated);
         let cex = result.counterexample.unwrap();
         assert!(!cex.services.is_empty());
@@ -509,8 +477,7 @@ mod tests {
                 )),
             ],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
+        let result = verify(&spec, &property, VerifierOptions::default());
         assert_eq!(result.outcome, VerificationOutcome::Satisfied);
         assert!(result.counterexample.is_none());
     }
@@ -533,8 +500,7 @@ mod tests {
             VerifierOptions::default().without("DSS"),
             VerifierOptions::no_set(),
         ] {
-            let verifier = Verifier::new(&spec, &property, options).unwrap();
-            verdicts.push(verifier.verify().outcome);
+            verdicts.push(verify(&spec, &property, options).outcome);
         }
         assert!(verdicts.iter().all(|v| *v == VerificationOutcome::Violated));
     }
@@ -549,8 +515,7 @@ mod tests {
             Ltl::globally(Ltl::prop(0)),
             vec![PropAtom::Condition(Condition::True)],
         );
-        let verifier = Verifier::new(&spec, &property, VerifierOptions::default()).unwrap();
-        let result = verifier.verify();
+        let result = verify(&spec, &property, VerifierOptions::default());
         assert!(result.elapsed_ms() >= result.stats.elapsed_ms);
     }
 }

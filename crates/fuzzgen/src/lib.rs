@@ -14,7 +14,7 @@
 //! * [`oracle`] — the matrix: every generated spec runs through each
 //!   retained oracle arm and must agree bit for bit with the plain
 //!   engine on verdicts, witnesses and deterministic statistics,
-//! * [`shrink`] — a greedy structural shrinker that minimizes any
+//! * [`shrink`](mod@shrink) — a greedy structural shrinker that minimizes any
 //!   divergence to a small `.has` repro a human can read,
 //! * [`sweep`] — the seed-range driver behind `verifas fuzz` and the CI
 //!   `fuzz-smoke` job.

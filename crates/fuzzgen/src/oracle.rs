@@ -8,8 +8,9 @@
 //!
 //! * [`OracleArm::Threads`] — four search worker threads,
 //! * [`OracleArm::IndexOff`] — candidate index disabled,
-//! * [`OracleArm::ReferenceLayout`] — the retained pre-arena linear-scan
-//!   state storage,
+//! * [`OracleArm::ReferenceLayout`] — the retained pre-arena full linear
+//!   candidate scans ([`verifas_core::CandidateSource::FullScan`]; the
+//!   index is off too, since it would take precedence),
 //! * [`OracleArm::ReferenceRepeated`] — the retained O(active²)
 //!   repeated-reachability oracle (verdict/witness compare only: the
 //!   reference emits no cycle statistics),
@@ -42,7 +43,8 @@ pub enum OracleArm {
     Threads,
     /// Candidate index (DSS) off vs on.
     IndexOff,
-    /// Retained pre-arena state layout vs the arena-backed one.
+    /// Retained pre-arena full linear candidate scans vs the posting
+    /// index.
     ReferenceLayout,
     /// Retained reference repeated-reachability vs the indexed one.
     ReferenceRepeated,
@@ -357,6 +359,37 @@ fn corrupt_reports(reports: &mut ArmReports) {
     }
 }
 
+/// The engine options of an arm that differs from the baseline in its
+/// options alone (`None` for the arms that change how the engine is
+/// loaded or reached).
+fn arm_options(arm: OracleArm, base: VerifierOptions) -> Option<VerifierOptions> {
+    let options = match arm {
+        OracleArm::Threads => VerifierOptions {
+            search_threads: 4,
+            ..base
+        },
+        OracleArm::IndexOff => VerifierOptions {
+            data_structure_support: false,
+            ..base
+        },
+        // The index takes precedence over the reference layout, so it must
+        // be off for the full scans to run.
+        OracleArm::ReferenceLayout => VerifierOptions {
+            data_structure_support: false,
+            reference_layout: true,
+            ..base
+        },
+        OracleArm::ReferenceRepeated => VerifierOptions {
+            reference_repeated: true,
+            ..base
+        },
+        OracleArm::IncrementalPreproc | OracleArm::IncrementalReplay | OracleArm::Serve => {
+            return None
+        }
+    };
+    Some(options)
+}
+
 /// Run one arm over an already-printed spec.
 fn arm_reports(
     arm: OracleArm,
@@ -366,39 +399,15 @@ fn arm_reports(
 ) -> Result<ArmReports, String> {
     let base = baseline_options(config.limits);
     match arm {
-        OracleArm::Threads => engine_reports(
-            VerifierOptions {
-                search_threads: 4,
-                ..base
-            },
-            source,
-        ),
-        OracleArm::IndexOff => engine_reports(
-            VerifierOptions {
-                data_structure_support: false,
-                ..base
-            },
-            source,
-        ),
-        OracleArm::ReferenceLayout => engine_reports(
-            VerifierOptions {
-                reference_layout: true,
-                ..base
-            },
-            source,
-        ),
-        OracleArm::ReferenceRepeated => engine_reports(
-            VerifierOptions {
-                reference_repeated: true,
-                ..base
-            },
-            source,
-        ),
         OracleArm::IncrementalPreproc => {
             incremental_reports(file, source, base, ReuseMode::Preproc)
         }
         OracleArm::IncrementalReplay => incremental_reports(file, source, base, ReuseMode::Replay),
         OracleArm::Serve => served_reports(source, config.limits),
+        _ => engine_reports(
+            arm_options(arm, base).expect("every other arm only swaps options"),
+            source,
+        ),
     }
 }
 
@@ -440,4 +449,25 @@ pub fn check_spec_file(
 /// Generate the spec for `seed` and run it through the matrix.
 pub fn run_seed(seed: u64, config: &FuzzConfig) -> Result<Option<Divergence>, String> {
     check_spec_file(&gen_spec_file(seed), seed, config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use verifas_core::CandidateSource;
+
+    fn source_of(options: VerifierOptions) -> CandidateSource {
+        CandidateSource::resolve(options.data_structure_support, options.reference_layout)
+    }
+
+    /// Each candidate-source arm must really run its source: the
+    /// reference layout only takes effect with the index off.
+    #[test]
+    fn candidate_arms_resolve_to_their_sources() {
+        let base = baseline_options(SearchLimits::default());
+        let arm = |arm| source_of(arm_options(arm, base).expect("an options arm"));
+        assert_eq!(source_of(base), CandidateSource::Postings);
+        assert_eq!(arm(OracleArm::IndexOff), CandidateSource::Group);
+        assert_eq!(arm(OracleArm::ReferenceLayout), CandidateSource::FullScan);
+    }
 }

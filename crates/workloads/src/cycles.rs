@@ -91,7 +91,7 @@ pub fn cycle_grid(k: usize) -> HasSpec {
 /// the abstract transition graph.
 ///
 /// This is the regime the repository's repeated-reachability regression
-/// suite uses to pin the soundness of the `StateIndex` signature
+/// suite uses to pin the soundness of the `CoverageIndex` signature
 /// (pit-`=`-edges only): stored-type and `≠` pit edges are exactly what
 /// the signature must *not* include (they could filter out true
 /// coverers), and a workload without stored types cannot catch that

@@ -48,36 +48,6 @@
 //! batch-level knobs ([`BatchOptions`], a [`CancelToken`], a streaming
 //! result callback); scheduling never changes a result.
 //!
-//! ## Migrating from `Verifier` (pre-0.2) to `Engine`
-//!
-//! The one-shot `Verifier` front-end is deprecated and will be removed
-//! after one release.  The mapping is mechanical:
-//!
-//! | pre-0.2 | 0.2 |
-//! |---|---|
-//! | `Verifier::new(&spec, &prop, options)?` | `Engine::load_with_options(spec, options)?` (once per spec) |
-//! | `verifier.verify()` | `engine.check(&prop)?` |
-//! | `VerificationResult { outcome, counterexample, stats, .. }` | [`VerificationReport`] `{ outcome, witness, stats, .. }` |
-//! | `result.counterexample.unwrap().description` | `report.witness.unwrap().description` |
-//! | `result.elapsed_ms()` | `report.elapsed_ms()` |
-//! | `ModelError` / panics | typed [`VerifasError`] |
-//!
-//! Differences worth knowing:
-//!
-//! * `Engine::load` takes the specification **by value** and validates it
-//!   once; clone the spec if you still need it locally.
-//! * The report's [`Witness`] carries a structured step list
-//!   (service references plus rendered labels), not just a string, and
-//!   the whole report serializes to JSON
-//!   ([`VerificationReport::to_json`] / [`VerificationReport::from_json`]).
-//! * Per-run knobs that used to require building a new `Verifier`
-//!   (options, limits) move to the request builder
-//!   ([`Engine::verification`]), alongside new ones: observers, deadlines
-//!   and cancellation tokens.
-//! * `VerifierOptions::without("TYPO")` used to be easy to mis-spell;
-//!   prefer [`VerifierOptions::try_without`], which returns a typed error
-//!   listing the valid names.
-//!
 //! ## Workspace layout
 //!
 //! * [`model`] — the HAS\* specification language and its concrete

@@ -13,7 +13,7 @@ use verifas::workloads::{
     counter_cycle, cycle_grid, cycle_grid_liveness, generate, generate_properties,
     lattice_false_property, lattice_liveness, open_close_lattice, real_workflows, SyntheticParams,
 };
-use verifas_core::{CoverageKind, KarpMillerSearch, ProductSystem};
+use verifas_core::{CandidateSource, CoverageKind, KarpMillerSearch, ProductSystem};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 
@@ -265,10 +265,10 @@ fn lattice_scenario_is_deterministic_across_threads_and_index() {
     }
 }
 
-/// At the search layer, the three candidate-discovery paths — per-group
-/// vectors (the arena layout's default), the pre-overhaul reference
-/// linear scans, and the signature index — must produce bit-identical
-/// trees on a capped lattice run, sequentially and with 4 workers.
+/// At the search layer, the three candidate sources — signature posting
+/// lists, per-group vectors and the pre-overhaul full linear scans — must
+/// produce bit-identical trees on a capped lattice run, sequentially and
+/// with 4 workers.
 #[test]
 fn lattice_candidate_paths_are_bit_identical() {
     let spec = open_close_lattice(8, 8);
@@ -278,10 +278,8 @@ fn lattice_candidate_paths_are_bit_identical() {
         max_states: 3_000,
         max_millis: 600_000,
     };
-    let run = |use_index: bool, reference_layout: bool, threads: usize| {
-        let mut search =
-            KarpMillerSearch::new(&product, CoverageKind::Subsumption, use_index, limits);
-        search.reference_layout = reference_layout;
+    let run = |source: CandidateSource, threads: usize| {
+        let mut search = KarpMillerSearch::new(&product, CoverageKind::Subsumption, source, limits);
         search.threads = threads;
         let outcome = search.run();
         let mut stats = search.stats;
@@ -289,20 +287,19 @@ fn lattice_candidate_paths_are_bit_identical() {
         stats.threads = 0;
         (outcome, search.len(), search.active_nodes(), stats)
     };
-    let baseline = run(false, false, 1);
-    for (use_index, reference_layout, threads) in [
-        (false, false, 4),
-        (false, true, 1),
-        (false, true, 4),
-        (true, false, 1),
-        (true, false, 4),
+    let baseline = run(CandidateSource::Group, 1);
+    for source in [
+        CandidateSource::Postings,
+        CandidateSource::Group,
+        CandidateSource::FullScan,
     ] {
-        assert_eq!(
-            baseline,
-            run(use_index, reference_layout, threads),
-            "candidate path diverged (index {use_index}, reference {reference_layout}, \
-             {threads} threads)"
-        );
+        for threads in [1, 4] {
+            assert_eq!(
+                baseline,
+                run(source, threads),
+                "candidate source {source:?} diverged with {threads} threads"
+            );
+        }
     }
 }
 
@@ -346,7 +343,7 @@ fn worker_panic_is_a_typed_error_and_leaks_no_state() {
     assert!(clean.stats.states_created > 0);
 }
 
-/// Regression test for the `StateIndex` signature soundness (ROADMAP
+/// Regression test for the `CoverageIndex` signature soundness (ROADMAP
 /// niche left by PR 3): on a *counter-heavy* workload — active states
 /// carrying bounded counters of many distinct stored tuple types, i.e.
 /// exactly the stored-type/`≠` pit edges the pit-`=`-only signature must
