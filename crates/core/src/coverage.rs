@@ -6,6 +6,8 @@
 
 use crate::product::StateView;
 use crate::psi::{CounterVec, StoredTypeId, TypeTable, OMEGA};
+use std::cell::RefCell;
+use std::iter::repeat_n;
 
 /// Which order the search uses to prune covered states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,42 +124,201 @@ pub fn flow_feasible(
     interner: &dyn TypeTable,
     required_slack: i64,
 ) -> bool {
-    let left_entries: Vec<(u32, i64)> = left.iter().map(|(t, c)| (*t, count_value(*c))).collect();
-    let right_entries: Vec<(u32, i64)> = right.iter().map(|(t, c)| (*t, count_value(*c))).collect();
-    let demand: i64 = left_entries.iter().map(|(_, c)| *c).sum();
-    let supply: i64 = right_entries.iter().map(|(_, c)| *c).sum();
+    feasible_with(left, right, required_slack, |lt, rt| {
+        let ((lrel, lpit), (rrel, rpit)) = (interner.get(lt), interner.get(rt));
+        lrel == rrel && lpit.implies(rpit)
+    })
+}
+
+/// [`flow_feasible`] over an arbitrary implication relation between
+/// stored types (a left type may map to a right type iff `implies`).
+fn feasible_with(
+    left: &[(StoredTypeId, u32)],
+    right: &[(StoredTypeId, u32)],
+    required_slack: i64,
+    implies: impl Fn(StoredTypeId, StoredTypeId) -> bool,
+) -> bool {
+    let demand: i64 = left.iter().map(|&(_, c)| count_value(c)).sum();
+    let supply: i64 = right.iter().map(|&(_, c)| count_value(c)).sum();
     if demand == 0 {
         return supply >= required_slack;
     }
     if supply < demand + required_slack {
         return false;
     }
-    // Max-flow on the bipartite graph: source -> left (capacity = count),
-    // left -> right when the stored type of the left implies the stored
-    // type of the right (and they belong to the same artifact relation),
-    // right -> sink (capacity = count).
-    let n = 2 + left_entries.len() + right_entries.len();
-    let source = 0;
-    let sink = 1;
-    let left_node = |i: usize| 2 + i;
-    let right_node = |i: usize| 2 + left_entries.len() + i;
-    let mut flow = MaxFlow::new(n);
-    for (i, (_, c)) in left_entries.iter().enumerate() {
-        flow.add_edge(source, left_node(i), *c);
-    }
-    for (j, (_, c)) in right_entries.iter().enumerate() {
-        flow.add_edge(right_node(j), sink, *c);
-    }
-    for (i, (lt, _)) in left_entries.iter().enumerate() {
-        let (lrel, lpit) = interner.get(*lt);
-        for (j, (rt, _)) in right_entries.iter().enumerate() {
-            let (rrel, rpit) = interner.get(*rt);
-            if lrel == rrel && lpit.implies(rpit) {
-                flow.add_edge(left_node(i), right_node(j), BIG);
+    FLOW.with(|flow| flow.borrow_mut().saturates(left, right, demand, implies))
+}
+
+thread_local! {
+    /// Per-thread storage of the ≼ max-flow, reused across calls.
+    static FLOW: RefCell<Flow> = RefCell::default();
+}
+
+/// Marks a left node reached straight from the source.
+const FROM_SOURCE: u32 = u32::MAX - 1;
+/// Marks a node the current search has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// The max-flow of the ≼ test on its bipartite network: source → left
+/// entry `i` (capacity = count), `i` → right entry `j` whenever the left
+/// type implies the right one, `j` → sink (capacity = count).  Middle
+/// edges are unbounded: a cut through one into `j` costs at least as much
+/// as the cut that moves `j` to the source side (its sink edge holds at
+/// most an `ω` count), so capping them at `ω` would not change the
+/// maximum.  Implication is kept as bit rows of `words` 64-bit words per
+/// left entry, the flow on the middle edges as a dense L×R matrix, and
+/// augmenting paths are shortest paths (Edmonds–Karp).  All storage is
+/// reused from call to call.
+#[derive(Default)]
+struct Flow {
+    /// Implication bit rows: bit `j` of row `i` iff left `i` implies right `j`.
+    adjacent: Vec<u64>,
+    /// Flow on each middle edge, row-major L×R.
+    flow: Vec<i64>,
+    /// Unused source → left capacity.
+    left_rest: Vec<i64>,
+    /// Unused right → sink capacity.
+    right_rest: Vec<i64>,
+    /// Search predecessor of each left node: [`FROM_SOURCE`], the right
+    /// node whose flow it takes back, or [`UNSEEN`].
+    left_prev: Vec<u32>,
+    /// Search predecessor of each right node: a left node, or [`UNSEEN`].
+    right_prev: Vec<u32>,
+    /// Breadth-first queue of left nodes.
+    queue: Vec<u32>,
+}
+
+impl Flow {
+    /// `true` iff the maximum flow saturates every source edge (reaches
+    /// `demand`, the sum of the left counts).
+    fn saturates(
+        &mut self,
+        left: &[(StoredTypeId, u32)],
+        right: &[(StoredTypeId, u32)],
+        demand: i64,
+        implies: impl Fn(StoredTypeId, StoredTypeId) -> bool,
+    ) -> bool {
+        let (l, r) = (left.len(), right.len());
+        let words = r.div_ceil(64);
+        refill(&mut self.adjacent, repeat_n(0, l * words));
+        for (i, &(lt, c)) in left.iter().enumerate() {
+            let row = &mut self.adjacent[i * words..(i + 1) * words];
+            for (j, &(rt, _)) in right.iter().enumerate() {
+                if implies(lt, rt) {
+                    row[j / 64] |= 1 << (j % 64);
+                }
+            }
+            // A demanded tuple that fits no right type.
+            if c != 0 && row.iter().all(|&w| w == 0) {
+                return false;
             }
         }
+        refill(&mut self.flow, repeat_n(0, l * r));
+        refill(
+            &mut self.left_rest,
+            left.iter().map(|&(_, c)| count_value(c)),
+        );
+        refill(
+            &mut self.right_rest,
+            right.iter().map(|&(_, c)| count_value(c)),
+        );
+        let mut unmet = demand;
+        while unmet > 0 {
+            let Some(end) = self.shortest_path(words) else {
+                return false;
+            };
+            unmet -= self.augment(end);
+        }
+        true
     }
-    flow.max_flow(source, sink) >= demand
+
+    /// Breadth-first search of the residual network for a shortest
+    /// augmenting path; returns the right node it ends at.  Right nodes
+    /// are expanded as they are reached (they either have sink capacity
+    /// left or lead back to the left nodes that send them flow), so the
+    /// queue holds left nodes only.
+    fn shortest_path(&mut self, words: usize) -> Option<usize> {
+        let (l, r) = (self.left_rest.len(), self.right_rest.len());
+        refill(&mut self.left_prev, repeat_n(UNSEEN, l));
+        refill(&mut self.right_prev, repeat_n(UNSEEN, r));
+        self.queue.clear();
+        for (i, &rest) in self.left_rest.iter().enumerate() {
+            if rest > 0 {
+                self.left_prev[i] = FROM_SOURCE;
+                self.queue.push(i as u32);
+            }
+        }
+        let mut head = 0;
+        while let Some(&i) = self.queue.get(head) {
+            head += 1;
+            let row = &self.adjacent[i as usize * words..(i as usize + 1) * words];
+            for (w, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.right_prev[j] != UNSEEN {
+                        continue;
+                    }
+                    self.right_prev[j] = i;
+                    if self.right_rest[j] > 0 {
+                        return Some(j);
+                    }
+                    for k in 0..l {
+                        if self.left_prev[k] == UNSEEN && self.flow[k * r + j] > 0 {
+                            self.left_prev[k] = j as u32;
+                            self.queue.push(k as u32);
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Push the bottleneck amount along the path found by
+    /// [`Flow::shortest_path`] ending at right node `end`; returns it.
+    fn augment(&mut self, end: usize) -> i64 {
+        let r = self.right_rest.len();
+        let mut push = self.right_rest[end];
+        let mut j = end;
+        loop {
+            let i = self.right_prev[j] as usize;
+            match self.left_prev[i] {
+                FROM_SOURCE => {
+                    push = push.min(self.left_rest[i]);
+                    break;
+                }
+                back => {
+                    j = back as usize;
+                    push = push.min(self.flow[i * r + j]);
+                }
+            }
+        }
+        self.right_rest[end] -= push;
+        let mut j = end;
+        loop {
+            let i = self.right_prev[j] as usize;
+            self.flow[i * r + j] += push;
+            match self.left_prev[i] {
+                FROM_SOURCE => {
+                    self.left_rest[i] -= push;
+                    break;
+                }
+                back => {
+                    j = back as usize;
+                    self.flow[i * r + j] -= push;
+                }
+            }
+        }
+        push
+    }
+}
+
+/// Replace the contents of `v`, keeping its allocation.
+fn refill<T>(v: &mut Vec<T>, items: impl IntoIterator<Item = T>) {
+    v.clear();
+    v.extend(items);
 }
 
 /// The Karp–Miller acceleration: compare a candidate state against an
@@ -229,89 +390,6 @@ pub fn accelerate(
     }
 }
 
-/// A small Dinic-style max-flow (BFS levels + DFS blocking flow), adequate
-/// for the tiny bipartite networks produced by the ≼ test.
-struct MaxFlow {
-    graph: Vec<Vec<usize>>,
-    to: Vec<usize>,
-    cap: Vec<i64>,
-}
-
-impl MaxFlow {
-    fn new(n: usize) -> Self {
-        MaxFlow {
-            graph: vec![Vec::new(); n],
-            to: Vec::new(),
-            cap: Vec::new(),
-        }
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
-        let e = self.to.len();
-        self.graph[from].push(e);
-        self.to.push(to);
-        self.cap.push(cap);
-        self.graph[to].push(e + 1);
-        self.to.push(from);
-        self.cap.push(0);
-    }
-
-    fn bfs(&self, source: usize, sink: usize) -> Option<Vec<i32>> {
-        let mut level = vec![-1; self.graph.len()];
-        level[source] = 0;
-        let mut queue = std::collections::VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            for &e in &self.graph[u] {
-                let v = self.to[e];
-                if self.cap[e] > 0 && level[v] < 0 {
-                    level[v] = level[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if level[sink] >= 0 {
-            Some(level)
-        } else {
-            None
-        }
-    }
-
-    fn dfs(&mut self, u: usize, sink: usize, pushed: i64, level: &[i32], it: &mut [usize]) -> i64 {
-        if u == sink {
-            return pushed;
-        }
-        while it[u] < self.graph[u].len() {
-            let e = self.graph[u][it[u]];
-            let v = self.to[e];
-            if self.cap[e] > 0 && level[v] == level[u] + 1 {
-                let d = self.dfs(v, sink, pushed.min(self.cap[e]), level, it);
-                if d > 0 {
-                    self.cap[e] -= d;
-                    self.cap[e ^ 1] += d;
-                    return d;
-                }
-            }
-            it[u] += 1;
-        }
-        0
-    }
-
-    fn max_flow(&mut self, source: usize, sink: usize) -> i64 {
-        let mut total = 0;
-        while let Some(level) = self.bfs(source, sink) {
-            let mut it = vec![0usize; self.graph.len()];
-            loop {
-                let pushed = self.dfs(source, sink, i64::MAX, &level, &mut it);
-                if pushed == 0 {
-                    break;
-                }
-                total += pushed;
-            }
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,6 +444,194 @@ mod tests {
         let mut b = PitBuilder::new(u);
         b.assert_eq(s, k);
         b.finish().unwrap()
+    }
+
+    /// A Dinic max-flow (BFS levels + DFS blocking flow) over an
+    /// adjacency-list graph: the oracle for [`Flow`].
+    struct MaxFlow {
+        graph: Vec<Vec<usize>>,
+        to: Vec<usize>,
+        cap: Vec<i64>,
+    }
+
+    impl MaxFlow {
+        fn new(n: usize) -> Self {
+            MaxFlow {
+                graph: vec![Vec::new(); n],
+                to: Vec::new(),
+                cap: Vec::new(),
+            }
+        }
+
+        fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
+            let e = self.to.len();
+            self.graph[from].push(e);
+            self.to.push(to);
+            self.cap.push(cap);
+            self.graph[to].push(e + 1);
+            self.to.push(from);
+            self.cap.push(0);
+        }
+
+        fn bfs(&self, source: usize, sink: usize) -> Option<Vec<i32>> {
+            let mut level = vec![-1; self.graph.len()];
+            level[source] = 0;
+            let mut queue = std::collections::VecDeque::from([source]);
+            while let Some(u) = queue.pop_front() {
+                for &e in &self.graph[u] {
+                    let v = self.to[e];
+                    if self.cap[e] > 0 && level[v] < 0 {
+                        level[v] = level[u] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            if level[sink] >= 0 {
+                Some(level)
+            } else {
+                None
+            }
+        }
+
+        fn dfs(
+            &mut self,
+            u: usize,
+            sink: usize,
+            pushed: i64,
+            level: &[i32],
+            it: &mut [usize],
+        ) -> i64 {
+            if u == sink {
+                return pushed;
+            }
+            while it[u] < self.graph[u].len() {
+                let e = self.graph[u][it[u]];
+                let v = self.to[e];
+                if self.cap[e] > 0 && level[v] == level[u] + 1 {
+                    let d = self.dfs(v, sink, pushed.min(self.cap[e]), level, it);
+                    if d > 0 {
+                        self.cap[e] -= d;
+                        self.cap[e ^ 1] += d;
+                        return d;
+                    }
+                }
+                it[u] += 1;
+            }
+            0
+        }
+
+        fn max_flow(&mut self, source: usize, sink: usize) -> i64 {
+            let mut total = 0;
+            while let Some(level) = self.bfs(source, sink) {
+                let mut it = vec![0usize; self.graph.len()];
+                loop {
+                    let pushed = self.dfs(source, sink, i64::MAX, &level, &mut it);
+                    if pushed == 0 {
+                        break;
+                    }
+                    total += pushed;
+                }
+            }
+            total
+        }
+    }
+
+    /// [`feasible_with`] computed on the Dinic oracle, over the network
+    /// with middle edges capped at `ω`'s capacity.
+    fn reference_feasible(
+        left: &[(StoredTypeId, u32)],
+        right: &[(StoredTypeId, u32)],
+        required_slack: i64,
+        implies: impl Fn(StoredTypeId, StoredTypeId) -> bool,
+    ) -> bool {
+        let demand: i64 = left.iter().map(|&(_, c)| count_value(c)).sum();
+        let supply: i64 = right.iter().map(|&(_, c)| count_value(c)).sum();
+        if demand == 0 {
+            return supply >= required_slack;
+        }
+        if supply < demand + required_slack {
+            return false;
+        }
+        let (source, sink) = (0, 1);
+        let right_node = |j: usize| 2 + left.len() + j;
+        let mut flow = MaxFlow::new(2 + left.len() + right.len());
+        for (i, &(lt, c)) in left.iter().enumerate() {
+            flow.add_edge(source, 2 + i, count_value(c));
+            for (j, &(rt, _)) in right.iter().enumerate() {
+                if implies(lt, rt) {
+                    flow.add_edge(2 + i, right_node(j), BIG);
+                }
+            }
+        }
+        for (j, &(_, c)) in right.iter().enumerate() {
+            flow.add_edge(right_node(j), sink, count_value(c));
+        }
+        flow.max_flow(source, sink) >= demand
+    }
+
+    /// Right entries get ids from here on; left entries count from 0.
+    const RIGHT: StoredTypeId = 1000;
+
+    /// Compare the kernel with the reference on one network (at slack 0
+    /// and 1), where left entry `i` may map to right entry `j` iff
+    /// `adjacent(i, j)`; returns the kernel's answers.
+    fn agree(left: &[u32], right: &[u32], adjacent: impl Fn(usize, usize) -> bool) -> [bool; 2] {
+        let left: Vec<(StoredTypeId, u32)> = (0..).zip(left.iter().copied()).collect();
+        let right: Vec<(StoredTypeId, u32)> = (RIGHT..).zip(right.iter().copied()).collect();
+        let implies =
+            |lt: StoredTypeId, rt: StoredTypeId| adjacent(lt as usize, (rt - RIGHT) as usize);
+        [0, 1].map(|slack| {
+            let got = feasible_with(&left, &right, slack, implies);
+            let want = reference_feasible(&left, &right, slack, implies);
+            assert_eq!(got, want, "left {left:?} right {right:?} slack {slack}");
+            got
+        })
+    }
+
+    const COUNTS: [u32; 3] = [1, 2, OMEGA];
+
+    #[test]
+    fn flow_kernel_matches_dinic_on_every_small_network() {
+        let draw = |code: usize, len: u32| -> Vec<u32> {
+            (0..len).map(|k| COUNTS[code / 3usize.pow(k) % 3]).collect()
+        };
+        let mut seen = [false; 2];
+        for (l, r) in (0..=3).flat_map(|l| (0..=3).map(move |r| (l, r))) {
+            for (lc, rc) in (0..3usize.pow(l)).flat_map(|a| (0..3usize.pow(r)).map(move |b| (a, b)))
+            {
+                let (left, right) = (draw(lc, l), draw(rc, r));
+                for mask in 0..1u32 << (l * r) {
+                    let bit = |i: usize, j: usize| mask >> (i * r as usize + j) & 1 == 1;
+                    for answer in agree(&left, &right, bit) {
+                        seen[answer as usize] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true, true]);
+    }
+
+    #[test]
+    fn flow_kernel_matches_dinic_past_one_word_of_right_entries() {
+        let mut seen = [false; 2];
+        for r in [63, 64, 65, 130] {
+            let cycled: Vec<u32> = (0..r).map(|j| COUNTS[j % 3]).collect();
+            let ones = vec![1; r];
+            for right in [&cycled, &ones] {
+                for left in [&[1][..], &[2, OMEGA], &[5, 3, 2], &[40, 1, 1]] {
+                    let answers = [
+                        agree(left, right, |_, j| j == r - 1),
+                        agree(left, right, |i, j| (i + j) % 7 == 0),
+                        agree(left, right, |i, j| (60 + i..70 + 2 * i).contains(&j)),
+                        agree(left, right, |i, j| i == 0 || j >= 64),
+                    ];
+                    for answer in answers.into_iter().flatten() {
+                        seen[answer as usize] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true, true]);
     }
 
     #[test]

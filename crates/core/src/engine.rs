@@ -973,6 +973,12 @@ mod tests {
             .unwrap();
         assert_eq!(satisfied.outcome, VerificationOutcome::Satisfied);
         assert!(satisfied.witness.is_none());
+        // Reports are kept by caches, so the per-worker vector holds no
+        // spare capacity.
+        for report in [&violated, &satisfied] {
+            assert_eq!(report.workers.len(), 1);
+            assert_eq!(report.workers.capacity(), 1);
+        }
     }
 
     #[test]
@@ -1031,6 +1037,7 @@ mod tests {
         assert_eq!(seq.witness, par.witness);
         assert_eq!(par.stats.threads, 4);
         assert_eq!(seq.stats.threads, 1);
+        assert_eq!(par.workers.capacity(), par.workers.len());
     }
 
     #[test]

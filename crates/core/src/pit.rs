@@ -18,6 +18,7 @@
 //! `≠` inside a class).
 
 use crate::expr::{ExprId, ExprSort, ExprUniverse};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use verifas_model::AttrId;
@@ -134,18 +135,11 @@ impl Pit {
 
     /// Remove the given edges (used by the static-analysis optimisation of
     /// Section 3.7 to drop non-violating constraints).
-    pub fn without_edges(&self, remove: &HashSet<Edge>) -> Pit {
-        if remove.is_empty() {
-            return self.clone();
+    pub fn without_edges(mut self, remove: &HashSet<Edge>) -> Pit {
+        if !remove.is_empty() {
+            self.edges.retain(|e| !remove.contains(e));
         }
-        Pit {
-            edges: self
-                .edges
-                .iter()
-                .copied()
-                .filter(|e| !remove.contains(e))
-                .collect(),
-        }
+        self
     }
 
     /// Rename expressions through `map` (expressions without a mapping are
@@ -178,15 +172,21 @@ impl Pit {
 
 /// Working representation of a partial isomorphism type under
 /// construction: a union-find with congruence closure plus disequalities.
+///
+/// Every per-class field is a `Vec` indexed by expression id and read only
+/// at class representatives.  A representative's navigation children are
+/// an attribute-sorted list that starts as a borrow of the universe's own
+/// [`Expr::children`](crate::expr::Expr::children) and is copied on its
+/// first write, so [`PitBuilder::new`] copies no per-expression data and a
+/// union walks only the dropped class's children.
 pub struct PitBuilder<'u> {
-    universe: &'u ExprUniverse,
     parent: Vec<u32>,
-    /// Per-representative navigation children (attr → child representative).
-    class_children: HashMap<(u32, AttrId), ExprId>,
+    /// Per-representative navigation children, sorted by attribute.
+    children: Vec<Cow<'u, [(AttrId, ExprId)]>>,
     /// Per-representative "strong" sort (ignores `null`).
-    class_sort: HashMap<u32, ExprSort>,
+    sort: Vec<Option<ExprSort>>,
     /// Per-representative constant member (a `DataConst` or `Null` expr).
-    class_const: HashMap<u32, ExprId>,
+    constant: Vec<Option<ExprId>>,
     /// Asserted disequalities (by original expression ids).
     neqs: Vec<(ExprId, ExprId)>,
     inconsistent: bool,
@@ -196,35 +196,22 @@ impl<'u> PitBuilder<'u> {
     /// A builder with no constraints.
     pub fn new(universe: &'u ExprUniverse) -> Self {
         let n = universe.len();
-        let mut class_children = HashMap::new();
-        let mut class_sort = HashMap::new();
-        let mut class_const = HashMap::new();
-        for (id, expr) in universe.iter() {
-            for (attr, child) in &expr.children {
-                class_children.insert((id, *attr), *child);
-            }
-            match expr.sort {
-                ExprSort::Null => {
-                    class_const.insert(id, id);
-                }
-                ExprSort::DataConst => {
-                    class_sort.insert(id, ExprSort::DataConst);
-                    class_const.insert(id, id);
-                }
-                s => {
-                    class_sort.insert(id, s);
-                }
-            }
-        }
-        PitBuilder {
-            universe,
+        let mut b = PitBuilder {
             parent: (0..n as u32).collect(),
-            class_children,
-            class_sort,
-            class_const,
+            children: Vec::with_capacity(n),
+            sort: Vec::with_capacity(n),
+            constant: Vec::with_capacity(n),
             neqs: Vec::new(),
             inconsistent: false,
+        };
+        for (id, expr) in universe.iter() {
+            let constant = matches!(expr.sort, ExprSort::Null | ExprSort::DataConst);
+            b.children.push(Cow::Borrowed(&expr.children[..]));
+            b.sort
+                .push((expr.sort != ExprSort::Null).then_some(expr.sort));
+            b.constant.push(constant.then_some(id));
         }
+        b
     }
 
     /// A builder pre-loaded with the constraints of an existing type.
@@ -249,32 +236,20 @@ impl<'u> PitBuilder<'u> {
         root
     }
 
-    /// Merge the sorts of two classes; marks the builder inconsistent on a
-    /// type clash.
-    fn merge_sorts(&mut self, keep: u32, drop: u32) {
-        let sort_drop = self.class_sort.remove(&drop);
-        match (self.class_sort.get(&keep).copied(), sort_drop) {
-            (None, Some(s)) => {
-                self.class_sort.insert(keep, s);
-            }
-            (Some(a), Some(b)) if !sorts_compatible(a, b) => {
-                self.inconsistent = true;
-            }
-            (Some(a), Some(b)) => {
-                self.class_sort.insert(keep, merge_sort(a, b));
-            }
+    /// Merge the sorts and constants of two classes; marks the builder
+    /// inconsistent on a type clash.
+    fn merge_sorts(&mut self, keep: usize, drop: usize) {
+        match (self.sort[keep], self.sort[drop].take()) {
+            (None, Some(s)) => self.sort[keep] = Some(s),
+            (Some(a), Some(b)) if !sorts_compatible(a, b) => self.inconsistent = true,
+            (Some(a), Some(b)) => self.sort[keep] = Some(merge_sort(a, b)),
             _ => {}
         }
-        let const_drop = self.class_const.remove(&drop);
-        match (self.class_const.get(&keep).copied(), const_drop) {
-            (None, Some(c)) => {
-                self.class_const.insert(keep, c);
-            }
-            (Some(a), Some(b)) if a != b => {
-                // Two distinct constant expressions (distinct constants, or
-                // null vs a constant) in the same class.
-                self.inconsistent = true;
-            }
+        match (self.constant[keep], self.constant[drop].take()) {
+            (None, Some(c)) => self.constant[keep] = Some(c),
+            // Two distinct constant expressions (distinct constants, or
+            // null vs a constant) in the same class.
+            (Some(a), Some(b)) if a != b => self.inconsistent = true,
             _ => {}
         }
     }
@@ -290,32 +265,25 @@ impl<'u> PitBuilder<'u> {
         }
         // Union by arbitrary orientation (keep ra).
         self.parent[rb as usize] = ra;
-        self.merge_sorts(ra, rb);
+        self.merge_sorts(ra as usize, rb as usize);
         if self.inconsistent {
             return;
         }
         // Congruence: merge navigation children attribute-wise.
-        let mut drop_children: Vec<(AttrId, ExprId)> = self
-            .class_children
-            .iter()
-            .filter(|((rep, _), _)| *rep == rb)
-            .map(|((_, attr), child)| (*attr, *child))
-            .collect();
-        drop_children.sort_unstable();
-        for (attr, child_b) in drop_children {
-            self.class_children.remove(&(rb, attr));
+        let dropped = std::mem::take(&mut self.children[rb as usize]);
+        for &(attr, child_b) in dropped.iter() {
             // The recursive merge below can union `ra`'s class under a
             // different root, so the surviving representative must be
             // re-resolved on every iteration.  Keying off the stale `ra`
             // would orphan child entries (and miss existing ones), leaving
-            // the congruence closure incomplete in a way that depends on
-            // the map's iteration order.
-            let keep = self.find(ra);
-            match self.class_children.get(&(keep, attr)).copied() {
-                Some(child_a) => self.assert_eq(child_a, child_b),
-                None => {
-                    self.class_children.insert((keep, attr), child_b);
+            // the congruence closure incomplete in an order-dependent way.
+            let keep = self.find(ra) as usize;
+            match self.children[keep].binary_search_by_key(&attr, |&(a, _)| a) {
+                Ok(i) => {
+                    let child_a = self.children[keep][i].1;
+                    self.assert_eq(child_a, child_b);
                 }
+                Err(i) => self.children[keep].to_mut().insert(i, (attr, child_b)),
             }
             if self.inconsistent {
                 return;
@@ -354,45 +322,55 @@ impl<'u> PitBuilder<'u> {
         if self.inconsistent {
             return None;
         }
+        // Point every expression straight at its representative.
+        let n = self.parent.len();
+        for x in 0..n as u32 {
+            self.find(x);
+        }
+        let rep = &self.parent;
         // Disequalities must separate distinct classes.
-        for i in 0..self.neqs.len() {
-            let (a, b) = self.neqs[i];
-            if self.find(a) == self.find(b) {
+        let mut neq_classes: Vec<(u32, u32)> = Vec::with_capacity(self.neqs.len());
+        for &(a, b) in &self.neqs {
+            let (ra, rb) = (rep[a as usize], rep[b as usize]);
+            if ra == rb {
                 return None;
             }
+            neq_classes.push((ra.min(rb), ra.max(rb)));
         }
-        let n = self.universe.len() as u32;
-        // Group expressions by representative.
-        let mut classes: HashMap<u32, Vec<ExprId>> = HashMap::new();
-        for x in 0..n {
-            classes.entry(self.find(x)).or_default().push(x);
+        neq_classes.sort_unstable();
+        neq_classes.dedup();
+        // Group expressions by representative with a counting sort: class
+        // `r` is `members[start[r]..start[r + 1]]`, in ascending order.
+        let mut start = vec![0u32; n + 1];
+        for &r in rep {
+            start[r as usize + 1] += 1;
         }
+        for r in 0..n {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut members = vec![0 as ExprId; n];
+        for (x, &r) in rep.iter().enumerate() {
+            members[next[r as usize] as usize] = x as ExprId;
+            next[r as usize] += 1;
+        }
+        let class = |r: u32| &members[start[r as usize] as usize..start[r as usize + 1] as usize];
         let mut edges: Vec<Edge> = Vec::new();
-        for members in classes.values() {
-            for i in 0..members.len() {
-                for j in (i + 1)..members.len() {
-                    edges.push(Edge::eq(members[i], members[j]));
-                }
+        for r in 0..n as u32 {
+            let c = class(r);
+            for (i, &a) in c.iter().enumerate() {
+                edges.extend(c[i + 1..].iter().map(|&b| Edge::eq(a, b)));
             }
         }
         // Propagate each asserted disequality to the full classes.
-        let mut neq_class_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for i in 0..self.neqs.len() {
-            let (a, b) = self.neqs[i];
-            let (ra, rb) = (self.find(a), self.find(b));
-            let key = if ra < rb { (ra, rb) } else { (rb, ra) };
-            neq_class_pairs.insert(key);
-        }
-        for (ra, rb) in neq_class_pairs {
-            let (ca, cb) = (&classes[&ra], &classes[&rb]);
-            for &a in ca {
-                for &b in cb {
-                    edges.push(Edge::neq(a, b));
-                }
+        for &(ra, rb) in &neq_classes {
+            for &a in class(ra) {
+                edges.extend(class(rb).iter().map(|&b| Edge::neq(a, b)));
             }
         }
+        // Distinct pairs of members and distinct pairs of classes give
+        // distinct edges, so sorting alone canonicalises.
         edges.sort_unstable();
-        edges.dedup();
         Some(Pit { edges })
     }
 
@@ -431,7 +409,7 @@ fn merge_sort(a: ExprSort, b: ExprSort) -> ExprSort {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use verifas_model::schema::attr::data;
+    use verifas_model::schema::attr::{data, fk};
     use verifas_model::{
         Condition, DataValue, DatabaseSchema, HasSpec, SpecBuilder, TaskBuilder, Term, VarId,
         VarRef,
@@ -465,6 +443,140 @@ mod tests {
 
     fn attr_of(u: &ExprUniverse, v: ExprId) -> ExprId {
         u.navigate(v, AttrId::new(0)).unwrap()
+    }
+
+    /// Schema S(B), R(A, F → S) with variables x, y of type R.ID and one
+    /// constant: ten expressions, navigation two levels deep, and classes
+    /// with more than one child.
+    fn two_level() -> (HasSpec, ExprUniverse) {
+        let mut db = DatabaseSchema::new();
+        let s = db.add_relation("S", vec![data("B")]).unwrap();
+        let r = db.add_relation("R", vec![data("A"), fk("F", s)]).unwrap();
+        let mut root = TaskBuilder::new("Root");
+        root.id_var("x", r);
+        root.id_var("y", r);
+        root.service_parts("noop", Condition::True, Condition::True, vec![], None);
+        let spec = SpecBuilder::new("two-level", db, root.build())
+            .build()
+            .unwrap();
+        let consts = BTreeSet::from([DataValue::str("c")]);
+        let u = ExprUniverse::build(&spec, spec.root(), &[], &consts);
+        (spec, u)
+    }
+
+    /// The closed type of Definition 17 computed naively: grow the
+    /// equivalence by transitivity and congruence to a fixpoint, check
+    /// consistency, then read off every implied edge.
+    fn naive_closure(u: &ExprUniverse, asserted: &[Edge]) -> Option<Pit> {
+        let n = u.len();
+        let mut eq = vec![vec![false; n]; n];
+        for (x, row) in eq.iter_mut().enumerate() {
+            row[x] = true;
+        }
+        for e in asserted.iter().filter(|e| !e.is_neq()) {
+            let (a, b) = e.endpoints();
+            eq[a as usize][b as usize] = true;
+            eq[b as usize][a as usize] = true;
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+                if !eq[a][b] {
+                    continue;
+                }
+                let mut implied: Vec<(usize, usize)> =
+                    (0..n).filter(|&c| eq[b][c]).map(|c| (a, c)).collect();
+                for &(attr, ca) in &u.expr(a as ExprId).children {
+                    if let Some(cb) = u.navigate(b as ExprId, attr) {
+                        implied.push((ca as usize, cb as usize));
+                    }
+                }
+                for (p, q) in implied {
+                    if !eq[p][q] {
+                        (eq[p][q], eq[q][p], changed) = (true, true, true);
+                    }
+                }
+            }
+        }
+        let sort = |x: usize| u.expr(x as ExprId).sort;
+        let constant = |x: usize| matches!(sort(x), ExprSort::Null | ExprSort::DataConst);
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+            let clash = matches!((sort(a), sort(b)), (ExprSort::Id(_), ExprSort::DataConst));
+            if eq[a][b] && (clash || (a != b && constant(a) && constant(b))) {
+                return None;
+            }
+        }
+        let mut edges = Vec::new();
+        for e in asserted.iter().filter(|e| e.is_neq()) {
+            let (a, b) = (e.endpoints().0 as usize, e.endpoints().1 as usize);
+            if eq[a][b] {
+                return None;
+            }
+            for (p, q) in (0..n).flat_map(|p| (0..n).map(move |q| (p, q))) {
+                if eq[a][p] && eq[b][q] {
+                    edges.push(Edge::neq(p as ExprId, q as ExprId));
+                }
+            }
+        }
+        for (a, b) in (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))) {
+            if eq[a][b] {
+                edges.push(Edge::eq(a as ExprId, b as ExprId));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        Some(Pit { edges })
+    }
+
+    #[test]
+    fn builder_matches_the_naive_closure_in_every_order() {
+        let (_spec, u) = two_level();
+        let n = u.len() as ExprId;
+        let edges: Vec<Edge> = (0..n)
+            .flat_map(|a| (a + 1..n).flat_map(move |b| [Edge::eq(a, b), Edge::neq(a, b)]))
+            .collect();
+        const ORDERS: [&[&[usize]]; 4] = [
+            &[&[]],
+            &[&[0]],
+            &[&[0, 1], &[1, 0]],
+            &[
+                &[0, 1, 2],
+                &[0, 2, 1],
+                &[1, 0, 2],
+                &[1, 2, 0],
+                &[2, 0, 1],
+                &[2, 1, 0],
+            ],
+        ];
+        let (mut closed, mut refused) = (0, 0);
+        let mut check = |set: &[Edge]| {
+            let expected = naive_closure(&u, set);
+            match expected {
+                Some(_) => closed += 1,
+                None => refused += 1,
+            }
+            for order in ORDERS[set.len()] {
+                let mut b = PitBuilder::new(&u);
+                for &k in *order {
+                    b.assert_edge(set[k]);
+                }
+                let got = b.finish();
+                assert_eq!(got, expected, "edges {set:?} asserted in order {order:?}");
+            }
+        };
+        check(&[]);
+        for (i, &a) in edges.iter().enumerate() {
+            check(&[a]);
+            for (j, &b) in edges.iter().enumerate().skip(i + 1) {
+                check(&[a, b]);
+                for &c in &edges[j + 1..] {
+                    check(&[a, b, c]);
+                }
+            }
+        }
+        // Both outcomes occur, so the comparison is not vacuous.
+        assert!(closed > 0 && refused > 0);
     }
 
     #[test]

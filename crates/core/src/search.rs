@@ -152,6 +152,7 @@ impl WorkerStats {
 /// raise the worker count mid-run, and the stats must keep one slot per
 /// worker index ever used.
 pub(crate) fn ensure_worker_slots(stats: &mut Vec<WorkerStats>, workers: usize) {
+    stats.reserve_exact(workers.saturating_sub(stats.len()));
     for worker in stats.len()..workers {
         stats.push(WorkerStats {
             worker,

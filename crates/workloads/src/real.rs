@@ -10,7 +10,10 @@
 //! artifact relations used as work pools, foreign-key navigation in
 //! conditions).  [`real_workflows`] expands the eight base processes into a
 //! set of 32 specifications through systematic variants, mirroring the
-//! size of the paper's real set (see `DESIGN.md`, substitution table).
+//! size of the paper's real set.  The paper's 32 rewritten bpmn.org
+//! workflows are not distributed with it, so this hand-written set stands
+//! in for them: it matches their count and structural range, not their
+//! exact contents.
 
 use verifas_model::schema::attr::{data, fk};
 use verifas_model::{

@@ -15,11 +15,20 @@
 
 use std::path::Path;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use verifas::core::{counters, Json};
 use verifas::prelude::*;
 use verifas::serve::{AdmissionLimits, Gateway, PriorityClass, ServeConfig, Server, VerifyRequest};
 use verifas::ReuseMode;
+
+/// The preprocessing counters are process-wide, so a test that reads them
+/// across a window must not overlap another test's engine loads.  Every
+/// test holds this lock: shared by default, exclusively around a window.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn shared_counters() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn example(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -103,6 +112,7 @@ fn streamed_reports(frames: &[Json]) -> Vec<(usize, VerificationReport)> {
 
 #[test]
 fn resubmitted_spec_reuses_cached_session_and_matches_direct_check_all() {
+    let _counters = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
     let source = example("conference_review.has");
     let compiled = verifas::spec::compile(&source).unwrap();
     let direct = Engine::load(compiled.spec.clone())
@@ -173,6 +183,7 @@ fn resubmitted_spec_reuses_cached_session_and_matches_direct_check_all() {
 /// safety argument for preemption-by-rebalance.
 #[test]
 fn interactive_arrival_mid_batch_never_changes_batch_results() {
+    let _counters = shared_counters();
     let batch_source = example("conference_review.has");
     let compiled = verifas::spec::compile(&batch_source).unwrap();
     // Stretch the batch by requesting each property several times: 12
@@ -256,6 +267,7 @@ fn interactive_arrival_mid_batch_never_changes_batch_results() {
 
 #[test]
 fn over_limit_batch_queues_and_only_queue_overflow_is_refused() {
+    let _counters = shared_counters();
     let gateway = Arc::new(Gateway::new(ServeConfig {
         cores: 2,
         sessions: 4,
@@ -355,6 +367,7 @@ fn over_limit_batch_queues_and_only_queue_overflow_is_refused() {
 
 #[test]
 fn server_side_cancel_stops_every_search_of_a_batch() {
+    let _counters = shared_counters();
     let gateway = Gateway::new(ServeConfig {
         cores: 2,
         sessions: 4,
@@ -401,6 +414,7 @@ fn server_side_cancel_stops_every_search_of_a_batch() {
 
 #[test]
 fn per_request_deadline_rides_the_cancel_plumbing() {
+    let _counters = shared_counters();
     let gateway = Gateway::new(ServeConfig {
         cores: 2,
         sessions: 4,
@@ -423,6 +437,7 @@ fn per_request_deadline_rides_the_cancel_plumbing() {
 #[test]
 fn http_round_trip_streams_reports_and_reuses_sessions() {
     use std::io::{Read, Write};
+    let _counters = shared_counters();
 
     let mut server = Server::start(
         "127.0.0.1:0",
@@ -480,6 +495,7 @@ fn http_round_trip_streams_reports_and_reuses_sessions() {
 /// inherent, so not-found is an answer, not an error).
 #[test]
 fn cancel_after_done_is_a_not_found_no_op() {
+    let _counters = shared_counters();
     let gateway = Gateway::new(ServeConfig {
         cores: 2,
         sessions: 4,
@@ -510,6 +526,7 @@ fn cancel_after_done_is_a_not_found_no_op() {
 /// every slot released.
 #[test]
 fn double_cancel_is_idempotent() {
+    let _counters = shared_counters();
     let gateway = Gateway::new(ServeConfig {
         cores: 2,
         sessions: 4,
@@ -558,6 +575,7 @@ fn double_cancel_is_idempotent() {
 #[test]
 fn shutdown_with_inflight_requests_aborts_the_stream_and_joins() {
     use std::io::{BufRead, BufReader, Read, Write};
+    let _counters = shared_counters();
 
     let mut server = Server::start(
         "127.0.0.1:0",
@@ -639,6 +657,7 @@ fn shutdown_with_inflight_requests_aborts_the_stream_and_joins() {
 fn client_disconnect_mid_stream_reclaims_cores_and_gauges() {
     use std::io::{BufRead, BufReader, Write};
     use std::time::{Duration, Instant};
+    let _counters = shared_counters();
 
     let mut server = Server::start(
         "127.0.0.1:0",
